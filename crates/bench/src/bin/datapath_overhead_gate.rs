@@ -1,15 +1,16 @@
 //! Overhead gate for the streaming data path, meant for CI: exits
-//! non-zero if the default streaming ingest path (single-pass parse fused
-//! with the columnar append) measurably lags the DOM path it replaced.
+//! non-zero if the default ingest path (single-pass parse fused with the
+//! columnar append) measurably lags the two-pass path.
 //!
 //! Three legs:
 //!
 //! * **Throughput**: parse-and-insert the serialized tiny TPoX corpus
-//!   through [`Collection::insert_xml`] (streaming, fused columnar
-//!   append) versus [`Collection::insert_xml_dom`] (materialize the DOM,
-//!   then project columns). Streaming must stay within the tolerance of
-//!   the DOM baseline — it does strictly less work per node, so any real
-//!   regression here is a bug, not noise.
+//!   through [`Collection::insert_xml`] (fused columnar append) versus
+//!   [`parse_document`] then [`Collection::insert_document`] (materialize
+//!   the document, then project columns from the finished tree). The
+//!   fused path must stay within the tolerance of the two-pass baseline —
+//!   it does strictly less work per node, so any real regression here is
+//!   a bug, not noise.
 //! * **Parity**: both paths must produce identical collections (same
 //!   vocabulary, same document arenas, same column store). A throughput
 //!   win on a wrong answer is no win; the gate asserts parity before it
@@ -27,6 +28,7 @@
 use std::time::Instant;
 use xia_storage::{Collection, PhysicalIndex};
 use xia_workloads::tpox::{self, TpoxConfig};
+use xia_xml::parse_document;
 use xia_xpath::{parse_linear_path, ValueKind};
 
 const ROUNDS: usize = 5;
@@ -38,17 +40,19 @@ fn tolerance() -> f64 {
         .unwrap_or(0.05)
 }
 
-/// Inserts every text into a fresh collection; returns (collection, secs).
-fn ingest_secs(texts: &[String], use_dom: bool) -> (Collection, f64) {
+/// Inserts every text into a fresh collection, fused (`insert_xml`) or
+/// two-pass (`parse_document` + `insert_document`); returns (collection,
+/// secs).
+fn ingest_secs(texts: &[String], two_pass: bool) -> (Collection, f64) {
     let mut c = Collection::new("GATE");
     let t0 = Instant::now();
     for t in texts {
-        let r = if use_dom {
-            c.insert_xml_dom(t)
+        if two_pass {
+            let doc = parse_document(t, c.vocab_mut()).expect("generated TPoX documents parse");
+            c.insert_document(doc);
         } else {
-            c.insert_xml(t)
-        };
-        r.expect("generated TPoX documents parse");
+            c.insert_xml(t).expect("generated TPoX documents parse");
+        }
     }
     let secs = t0.elapsed().as_secs_f64();
     std::hint::black_box(c.len());
@@ -63,34 +67,34 @@ fn main() {
     texts.extend(customers);
 
     // Parity first: a fast wrong answer must not pass the gate.
-    let (stream, _) = ingest_secs(&texts, false);
-    let (dom, _) = ingest_secs(&texts, true);
+    let (fused, _) = ingest_secs(&texts, false);
+    let (two_pass, _) = ingest_secs(&texts, true);
     assert_eq!(
-        stream.vocab(),
-        dom.vocab(),
-        "streaming and DOM ingest built different vocabularies"
+        fused.vocab(),
+        two_pass.vocab(),
+        "fused and two-pass ingest built different vocabularies"
     );
     assert!(
-        stream.iter_docs().eq(dom.iter_docs()),
-        "streaming and DOM ingest built different documents"
+        fused.iter_docs().eq(two_pass.iter_docs()),
+        "fused and two-pass ingest built different documents"
     );
     assert_eq!(
-        stream.columns(),
-        dom.columns(),
-        "streaming and DOM ingest built different column stores"
+        fused.columns(),
+        two_pass.columns(),
+        "fused and two-pass ingest built different column stores"
     );
-    println!("parity: streaming == DOM over {} documents", texts.len());
+    println!("parity: fused == two-pass over {} documents", texts.len());
 
     let mut pass = false;
     for round in 1..=ROUNDS {
-        let (_, dom_secs) = ingest_secs(&texts, true);
-        let (_, stream_secs) = ingest_secs(&texts, false);
-        let ok = stream_secs <= dom_secs * (1.0 + tol);
+        let (_, two_pass_secs) = ingest_secs(&texts, true);
+        let (_, fused_secs) = ingest_secs(&texts, false);
+        let ok = fused_secs <= two_pass_secs * (1.0 + tol);
         println!(
-            "round {round}: dom {:.1} ms, streaming {:.1} ms ({:+.1}%) [{}]",
-            dom_secs * 1e3,
-            stream_secs * 1e3,
-            (stream_secs / dom_secs - 1.0) * 100.0,
+            "round {round}: two-pass {:.1} ms, fused {:.1} ms ({:+.1}%) [{}]",
+            two_pass_secs * 1e3,
+            fused_secs * 1e3,
+            (fused_secs / two_pass_secs - 1.0) * 100.0,
             if ok { "ok" } else { "REGRESSED" },
         );
         if ok {
@@ -102,7 +106,7 @@ fn main() {
         println!("datapath gate: PASS (tolerance {:.0}%)", tol * 100.0);
     } else {
         eprintln!(
-            "datapath gate: FAIL — streaming ingest lagged the DOM path in all {ROUNDS} rounds \
+            "datapath gate: FAIL — fused ingest lagged the two-pass path in all {ROUNDS} rounds \
              (tolerance {:.0}%)",
             tol * 100.0
         );

@@ -1,5 +1,5 @@
 //! Regenerates E12: generalization-fixpoint pair visits and wall time,
-//! naive (Algorithm 1 / `--no-fastpath`) vs semi-naive, over widened
+//! naive (Algorithm 1, the test reference) vs semi-naive, over widened
 //! Table III workloads. Writes `results/generalization_speedup.csv`.
 
 use xia_bench::experiments::generalization_speedup;

@@ -1,6 +1,7 @@
 //! Regenerates E11: what-if optimizer calls and advisor wall time with
-//! statement-relevance pruning on vs `--no-prune`, over the Fig. 3 budget
-//! sweep. Writes `results/pruning_speedup.csv`.
+//! statement-relevance pruning on vs off (the evaluator's ablation
+//! switch), over the Fig. 3 budget sweep. Writes
+//! `results/pruning_speedup.csv`.
 
 use xia_advisor::SearchAlgorithm;
 use xia_bench::experiments::pruning;

@@ -1,6 +1,7 @@
 //! E12: semi-naive generalization — pair visits and wall time of the
 //! naive Algorithm 1 fixpoint vs the bucketed, memoized semi-naive
-//! fixpoint (`--no-fastpath` vs the default), at growing workload sizes.
+//! fixpoint (the test reference vs what the advisor runs), at growing
+//! workload sizes.
 //!
 //! Both fixpoints run on clones of the same enumerated candidate set;
 //! every row double-checks the parity contract: identical candidate

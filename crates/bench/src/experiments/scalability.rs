@@ -157,15 +157,8 @@ pub fn run_datapath(factors: &[usize], jobs: usize) -> Vec<DataPathPoint> {
             let t0 = Instant::now();
             for (name, texts) in &batches {
                 let coll = round_db.collection_mut(name).expect("just created");
-                let report = ingest_batch(
-                    coll,
-                    texts,
-                    IngestOptions {
-                        jobs,
-                        use_dom: false,
-                    },
-                )
-                .expect("generated TPoX documents parse");
+                let report = ingest_batch(coll, texts, IngestOptions { jobs })
+                    .expect("generated TPoX documents parse");
                 docs += report.doc_ids.len();
                 nodes += report.nodes;
                 workers = workers.max(report.workers);

@@ -31,11 +31,14 @@ use xia_workloads::tpox::{self, TpoxConfig};
 /// under the wire protocol's numeric cap).
 pub const BUDGET: u64 = 1 << 40;
 
-/// The search algorithm under test. Greedy isolates the cache effect the
-/// experiment is about: the cold path's cost is dominated by preparation
-/// plus the what-if benefit fan-out (exactly what the warm server keeps
-/// resident), while the knapsack search the warm path must still run per
-/// request stays small. The byte-identity checks hold for any algorithm.
+/// The search algorithm under test. The cold leg is about 97% image load,
+/// not advising: on a 2-core machine (release build, TPoX scale 1, a
+/// 6.8 MB image) `load_database_from` — XML parse, two FNV-1a checksum
+/// passes, columnar append, RUNSTATS — takes 74–83 ms, while the whole
+/// observe + recommend (preparation and what-if fan-out) takes 2.1–2.4 ms
+/// and a warm repeat recommend 0.9–1.35 ms. The reported warm speedup is
+/// therefore mostly the avoided image load; the advisor-side warm gain is
+/// about 2×. The byte-identity checks hold for any algorithm.
 pub const ALGO: SearchAlgorithm = SearchAlgorithm::GreedyHeuristics;
 
 /// A blocking request/reply client over one TCP connection — one warm

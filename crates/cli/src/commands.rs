@@ -49,7 +49,7 @@ pub fn init(db_path: Option<&str>) -> Result<String, CliError> {
     Ok(format!("created empty database {path}\n"))
 }
 
-/// `xia load <db> <collection> <file...> [--jobs <n>] [--no-stream]`
+/// `xia load <db> <collection> <file...> [--jobs <n>]`
 pub fn load(args: &[String]) -> Result<String, CliError> {
     let (path, mut db) = open(args.first().map(|s| s.as_str()))?;
     let collection = require(args, 1, "<collection>")?.to_string();
@@ -64,10 +64,6 @@ pub fn load(args: &[String]) -> Result<String, CliError> {
                     CliError::usage(format!("bad job count `{v}` (expected a number; 0 = auto)"))
                 })?;
                 i += 2;
-            }
-            "--no-stream" => {
-                opts.use_dom = true;
-                i += 1;
             }
             other if other.starts_with('-') => {
                 return Err(CliError::usage(format!("unknown load flag `{other}`")));
@@ -208,8 +204,6 @@ fn explain_advisor(args: &[String]) -> Result<String, CliError> {
     let mut budget: Option<u64> = None;
     let mut algo = SearchAlgorithm::TopDownFull;
     let mut jobs: Option<usize> = None;
-    let mut prune = true;
-    let mut fastpath = true;
     let mut compress = true;
     let mut why: Vec<String> = Vec::new();
     let mut i = 1;
@@ -236,14 +230,6 @@ fn explain_advisor(args: &[String]) -> Result<String, CliError> {
                 })?);
                 i += 2;
             }
-            "--no-prune" => {
-                prune = false;
-                i += 1;
-            }
-            "--no-fastpath" => {
-                fastpath = false;
-                i += 1;
-            }
             "--compress" => {
                 compress = true;
                 i += 1;
@@ -269,11 +255,7 @@ fn explain_advisor(args: &[String]) -> Result<String, CliError> {
         return Err(CliError::new("workload file contains no statements"));
     }
 
-    let mut params = AdvisorParams {
-        prune,
-        fastpath,
-        ..AdvisorParams::default()
-    };
+    let mut params = AdvisorParams::default();
     if let Some(jobs) = jobs {
         params.jobs = jobs;
     }
@@ -417,7 +399,7 @@ enum TraceFormat {
 
 /// `xia recommend <db> -w <file> -b <bytes> [-a <algo>] [--apply]
 /// [--report] [--trace[=json|text]] [--strict] [--journal <path>]
-/// [--what-if-budget <calls>] [--jobs <n>] [--no-prune] [--no-fastpath]
+/// [--what-if-budget <calls>] [--jobs <n>]
 /// [--compress] [--no-compress] [--inject <site>:<rate>]
 /// [--fault-seed <n>] [--deadline-ms <n>] [--checkpoint <path>]
 /// [--resume <path>] [--mem-budget <bytes>] [--cancel-after-polls <k>]`
@@ -430,8 +412,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
     let mut strict = false;
     let mut what_if_calls: u64 = 0;
     let mut jobs: Option<usize> = None;
-    let mut prune = true;
-    let mut fastpath = true;
     let mut compress = true;
     let mut fault_seed: u64 = 0;
     let mut inject_specs: Vec<String> = Vec::new();
@@ -485,14 +465,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
                     CliError::usage(format!("bad job count `{v}` (expected a number; 0 = auto)"))
                 })?);
                 i += 2;
-            }
-            "--no-prune" => {
-                prune = false;
-                i += 1;
-            }
-            "--no-fastpath" => {
-                fastpath = false;
-                i += 1;
             }
             "--compress" => {
                 compress = true;
@@ -650,8 +622,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
         faults,
         what_if_budget: xia_advisor::WhatIfBudget::calls(what_if_calls),
         strict,
-        prune,
-        fastpath,
         ctl,
         ..AdvisorParams::default()
     };
@@ -1318,6 +1288,24 @@ mod tests {
         // Nothing was inserted.
         let out = stats(Some(&db)).unwrap();
         assert!(out.contains("database is empty"), "{out}");
+        // Without the bad file the batch loads. Reopening the image
+        // re-inserts every document through the fused `insert_xml`; the
+        // result must equal the two-pass path (`parse_document`, then
+        // `insert_document`, which projects columns from the tree).
+        args.retain(|a| !a.ends_with("batch4.xml"));
+        let out = load(&args).unwrap();
+        assert!(out.contains("loaded 5"), "{out}");
+        let (_, reopened) = open(Some(&db)).unwrap();
+        let fused = reopened.collection("C").unwrap();
+        let mut two_pass = xia_storage::Collection::new("C");
+        for i in [0, 1, 2, 3, 5] {
+            let doc = xia_xml::parse_document(&format!("<a><b>{i}</b></a>"), two_pass.vocab_mut())
+                .unwrap();
+            two_pass.insert_document(doc);
+        }
+        assert_eq!(fused.vocab(), two_pass.vocab());
+        assert!(fused.iter_docs().eq(two_pass.iter_docs()));
+        assert_eq!(fused.columns(), two_pass.columns());
         // Unknown flags are usage errors.
         let err = load(&s(&[&db, "C", "x.xml", "--frobnicate"])).unwrap_err();
         assert!(err.to_string().contains("unknown load flag"), "{err}");
@@ -1358,19 +1346,18 @@ mod tests {
         let out = load(&file_args).unwrap();
         assert!(out.contains("loaded 60"));
 
-        // Reloading the same corpus through the DOM escape hatch and with
-        // parallel workers produces the same database surface.
-        let db_dom = dir.join("t_dom.xiadb").to_string_lossy().to_string();
-        init(Some(&db_dom)).unwrap();
-        let mut dom_args = vec![db_dom.clone()];
-        dom_args.extend(file_args[1..].iter().cloned());
-        dom_args.push("--no-stream".to_string());
-        dom_args.push("--jobs".to_string());
-        dom_args.push("4".to_string());
-        let out = load(&dom_args).unwrap();
+        // Reloading the same corpus with parallel workers produces the
+        // same database surface.
+        let db_par = dir.join("t_par.xiadb").to_string_lossy().to_string();
+        init(Some(&db_par)).unwrap();
+        let mut par_args = vec![db_par.clone()];
+        par_args.extend(file_args[1..].iter().cloned());
+        par_args.push("--jobs".to_string());
+        par_args.push("4".to_string());
+        let out = load(&par_args).unwrap();
         assert!(out.contains("loaded 60"), "{out}");
         assert!(out.contains("4 worker(s)"), "{out}");
-        assert_eq!(stats(Some(&db)).unwrap(), stats(Some(&db_dom)).unwrap());
+        assert_eq!(stats(Some(&db)).unwrap(), stats(Some(&db_par)).unwrap());
 
         // stats
         let out = stats(Some(&db)).unwrap();
@@ -1818,99 +1805,23 @@ mod tests {
     }
 
     #[test]
-    fn recommend_no_prune_changes_only_call_counts() {
-        // --no-prune disables the statement-relevance shortcut: the
-        // recommendation (index list, sizes, speedup) must stay
-        // byte-identical; only the reported optimizer-call count may
-        // change, and pruning must never need *more* calls.
-        let dir = tmpdir().join("no_prune");
+    fn removed_parity_flags_are_unknown_flag_usage_errors() {
+        // Pruning, the generalization fast path and the streaming parser
+        // have no off switch; their old flags are ordinary unknown flags.
+        let dir = tmpdir().join("removed_flags");
         std::fs::create_dir_all(&dir).unwrap();
         let (db, wl) = trace_fixture(&dir);
-        let run = |extra: &[&str]| {
-            let mut args = vec![
-                db.as_str(),
-                "-w",
-                wl.as_str(),
-                "-b",
-                "10m",
-                "-a",
-                "heuristics",
-            ];
-            args.extend_from_slice(extra);
-            recommend(&s(&args)).unwrap()
-        };
-        // Blank out the call count in the summary line so everything else
-        // can be compared bytewise.
-        let mask = |out: &str| -> String {
-            out.lines()
-                .map(|l| match (l.strip_suffix(" optimizer calls"), l) {
-                    (Some(head), _) => match head.rfind(", ") {
-                        Some(p) => format!("{}, <calls> optimizer calls", &head[..p]),
-                        None => l.to_string(),
-                    },
-                    (None, l) => l.to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let calls = |out: &str| -> u64 {
-            out.lines()
-                .find_map(|l| l.strip_suffix(" optimizer calls"))
-                .and_then(|head| head.rsplit(", ").next())
-                .and_then(|n| n.parse().ok())
-                .expect("summary line reports optimizer calls")
-        };
-        let pruned = run(&[]);
-        let unpruned = run(&["--no-prune"]);
-        assert_eq!(mask(&pruned), mask(&unpruned), "--no-prune changed output");
-        assert!(
-            calls(&pruned) <= calls(&unpruned),
-            "pruning used more optimizer calls: {} vs {}",
-            calls(&pruned),
-            calls(&unpruned)
-        );
-        // The unpruned path is jobs-invariant too.
-        assert_eq!(unpruned, run(&["--no-prune", "--jobs", "4"]));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recommend_no_fastpath_output_is_byte_identical() {
-        // --no-fastpath runs the naive generalization fixpoint and plain
-        // containment instead of the semi-naive/memoized fast path. Unlike
-        // --no-prune, nothing about the costing changes, so the whole
-        // output — index list, sizes, speedup, reported call counts — must
-        // be byte-identical, clean and under fault injection.
-        let dir = tmpdir().join("no_fastpath");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (db, wl) = trace_fixture(&dir);
-        let run = |extra: &[&str]| {
-            let mut args = vec![
-                db.as_str(),
-                "-w",
-                wl.as_str(),
-                "-b",
-                "10m",
-                "-a",
-                "heuristics",
-            ];
-            args.extend_from_slice(extra);
-            recommend(&s(&args)).unwrap()
-        };
-        let fast = run(&[]);
-        let naive = run(&["--no-fastpath"]);
-        assert_eq!(fast, naive, "--no-fastpath changed the output");
-        // Parity holds under fault injection and across worker counts too.
-        let faulty = &["--inject", "optimizer-cost:0.3", "--fault-seed", "11"];
-        let fast_faulty = run(faulty);
-        let mut naive_faulty_args = vec!["--no-fastpath"];
-        naive_faulty_args.extend_from_slice(faulty);
-        assert_eq!(
-            fast_faulty,
-            run(&naive_faulty_args),
-            "--no-fastpath changed faulty output"
-        );
-        assert_eq!(naive, run(&["--no-fastpath", "--jobs", "4"]));
+        for flag in ["--no-prune", "--no-fastpath"] {
+            let args = s(&[&db, "-w", &wl, "-b", "10m", flag]);
+            for err in [recommend(&args).unwrap_err(), explain(&args).unwrap_err()] {
+                assert_eq!(err.kind, crate::ErrorKind::Usage, "{flag}: {err}");
+                assert_eq!(err.exit_code(), 2);
+                assert!(err.to_string().contains("unknown flag"), "{flag}: {err}");
+            }
+        }
+        let err = load(&s(&[&db, "C", "x.xml", "--no-stream"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("unknown load flag"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! xia init      <db>                          create an empty database file
-//! xia load      <db> <collection> <file...>   load XML documents [--jobs <n>] [--no-stream]
+//! xia load      <db> <collection> <file...>   load XML documents [--jobs <n>]
 //! xia stats     <db>                          collection/path statistics
 //! xia explain   <db> <statement>              show the optimizer's plan
 //! xia exec      <db> <statement>              execute a query
@@ -196,10 +196,8 @@ xia — XML Index Advisor
 USAGE:
   xia init      <db>                           create an empty database file
   xia load      <db> <collection> <file...>    load XML documents into a collection
-                [--jobs <n>] [--no-stream]   parallel batch ingest (all-or-nothing);
-                                             --no-stream uses the DOM parser instead
-                                             of the default streaming path (the
-                                             result is byte-identical either way)
+                [--jobs <n>]                 parallel batch ingest (all-or-nothing;
+                                             the result is identical for every <n>)
   xia stats     <db>                           print collection and path statistics
   xia explain   <db> <statement>               show the best plan and its cost
   xia explain   <db> -w <workload-file> -b <budget-bytes> [-a <algo>]
@@ -212,8 +210,7 @@ USAGE:
                 [-a greedy|heuristics|topdown-lite|topdown-full|dp|cophy]
                 [--apply] [--report] [--trace[=json|text]] [--strict]
                 [--journal <path>] [--what-if-budget <calls>] [--jobs <n>]
-                [--no-prune] [--no-fastpath] [--compress] [--no-compress]
-                [--inject <site>:<rate>]
+                [--compress] [--no-compress] [--inject <site>:<rate>]
                 [--fault-seed <n>] [--deadline-ms <n>] [--checkpoint <path>]
                 [--resume <path>] [--mem-budget <bytes>]
                 [--cancel-after-polls <k>]
@@ -253,15 +250,6 @@ coordinator, so the file is byte-identical for every --jobs value.
 --jobs (or -j) sets the what-if worker-thread count for benefit
 evaluation (0 = one per core; default 1, or the XIA_JOBS environment
 variable). The recommendation is identical for every value.
-
---no-prune disables statement-relevance pruning (the per-statement cost
-cache shortcut) for `recommend` and advisor-mode `explain`; the
-recommendation is byte-identical either way, only slower.
-
---no-fastpath disables the interning fast path (semi-naive generalization
-fixpoint, memoized containment) for `recommend` and advisor-mode
-`explain`; candidate sets and recommendations are byte-identical either
-way, only slower.
 
 -a cophy scales to huge workloads: the workload is first compressed into
 weighted cost-identity templates (on by default for cophy; --no-compress

@@ -4,7 +4,7 @@ use crate::benefit::{BenefitEvaluator, EvalStats, WhatIfBudget};
 use crate::candidate::{CandId, CandOrigin, CandidateSet};
 use crate::enumerate::{enumerate_candidates_traced, size_candidates_traced};
 use crate::error::{StatementIssue, XiaError};
-use crate::generalize::{generalize_set_fast, generalize_set_naive};
+use crate::generalize::generalize_set_fast;
 use crate::runctl::{RunController, StopReason};
 use crate::search;
 use std::time::{Duration, Instant};
@@ -87,19 +87,6 @@ pub struct AdvisorParams {
     /// for every value — only wall-clock time changes. Defaults to the
     /// `XIA_JOBS` environment variable, or 1.
     pub jobs: usize,
-    /// Statement-relevance pruning (`--no-prune` turns it off): serve
-    /// per-statement what-if costings whose candidate projection was
-    /// already costed from the statement cache instead of re-running the
-    /// optimizer. Recommendations are byte-identical either way — off
-    /// exists for the ablation. On by default.
-    pub prune: bool,
-    /// Interning/semi-naive fast path (`--no-fastpath` turns it off): run
-    /// generalization as a bucketed, memoized semi-naive fixpoint and
-    /// serve containment checks through the shared cover cache with the
-    /// name-mask fast reject. Candidate sets, generalization DAGs, and
-    /// recommendations are byte-identical either way — off exists for the
-    /// A/B parity check and the E12 ablation. On by default.
-    pub fastpath: bool,
     /// Decision-provenance journal (`--journal`, `explain --why`). Unlike
     /// telemetry, journaling is *opt-in*: the default handle is disabled,
     /// so event payloads are never even constructed. All emission sites
@@ -155,8 +142,6 @@ impl Default for AdvisorParams {
             what_if_budget: WhatIfBudget::unlimited(),
             strict: false,
             jobs: Self::default_jobs(),
-            prune: true,
-            fastpath: true,
             journal: EventJournal::off(),
             compress: true,
             ctl: RunController::off(),
@@ -310,11 +295,7 @@ impl Advisor {
         if params.generalize {
             let created = {
                 let _generalize = t.span("generalize");
-                if params.fastpath {
-                    generalize_set_fast(&mut set, t, &params.journal)
-                } else {
-                    generalize_set_naive(&mut set, t, &params.journal)
-                }
+                generalize_set_fast(&mut set, t, &params.journal)
             };
             t.add(Counter::CandidatesGeneralized, created.len() as u64);
         }
@@ -448,16 +429,7 @@ impl Advisor {
         // carry one search-loop row per `--algorithm` value.
         let _algo = params.telemetry.span(algorithm.name());
         let all: Vec<CandId> = set.ids().collect();
-        match algorithm {
-            SearchAlgorithm::Greedy => search::greedy(ev, &all, budget),
-            SearchAlgorithm::GreedyHeuristics => {
-                search::greedy_heuristics(ev, &all, budget, params.beta)
-            }
-            SearchAlgorithm::TopDownLite => search::top_down(ev, &all, budget, false),
-            SearchAlgorithm::TopDownFull => search::top_down(ev, &all, budget, true),
-            SearchAlgorithm::Dp => search::dp_knapsack(ev, &all, budget),
-            SearchAlgorithm::Cophy => search::cophy(ev, &all, budget),
-        }
+        search::run(ev, &all, budget, algorithm, params.beta)
     }
 
     fn finish(

@@ -325,14 +325,10 @@ pub struct BenefitEvaluator<'a> {
     /// What-if budget account: statements actually re-costed (statement
     /// cache misses), charged identically with pruning on or off.
     charged: u64,
-    /// Relevance-pruning switch: serve projection hits from the statement
-    /// cache instead of re-running the optimizer. Off re-executes every
-    /// hit (uncharged) for the ablation; results are byte-identical.
+    /// Ablation switch (Section VI-C): serve projection hits from the
+    /// statement cache instead of re-running the optimizer. Off
+    /// re-executes every hit (uncharged); results are byte-identical.
     pub prune: bool,
-    /// Fast-path switch (`--no-fastpath` turns it off): route containment
-    /// verdicts through the shared [`CoverCache`]. Verdicts are identical
-    /// either way; off exists for the A/B parity check.
-    fastpath: bool,
     /// Shared containment-verdict cache: the relevance build, greedy
     /// coverage bitmaps, and top-down leftover fill all ask the same
     /// `(general, specific)` questions repeatedly. Coordinator-only, so
@@ -410,7 +406,7 @@ impl<'a> BenefitEvaluator<'a> {
         set: &'a CandidateSet,
         params: &crate::advisor::AdvisorParams,
     ) -> Self {
-        let mut ev = Self::build(
+        Self::build(
             db,
             workload,
             set,
@@ -418,12 +414,9 @@ impl<'a> BenefitEvaluator<'a> {
             params.what_if_budget,
             &params.telemetry,
             params.effective_jobs(),
-            params.fastpath,
             &params.journal,
             &params.ctl,
-        );
-        ev.prune = params.prune;
-        ev
+        )
     }
 
     /// Creates an evaluator with a fault injector and what-if budget in
@@ -446,7 +439,6 @@ impl<'a> BenefitEvaluator<'a> {
             budget,
             &Telemetry::off(),
             1,
-            true,
             &EventJournal::off(),
             &RunController::off(),
         )
@@ -461,7 +453,6 @@ impl<'a> BenefitEvaluator<'a> {
         budget: WhatIfBudget,
         telemetry: &Telemetry,
         jobs: usize,
-        fastpath: bool,
         journal: &EventJournal,
         ctl: &RunController,
     ) -> Self {
@@ -503,17 +494,12 @@ impl<'a> BenefitEvaluator<'a> {
             .map(|id| {
                 let c = set.get(id);
                 let mut s = StmtSet::new();
-                let rows = if fastpath {
-                    matrix.relevant_statements_cached(
-                        &c.collection,
-                        &c.pattern,
-                        c.kind,
-                        &cover_cache,
-                    )
-                } else {
-                    matrix.relevant_statements(&c.collection, &c.pattern, c.kind)
-                };
-                for si in rows {
+                for si in matrix.relevant_statements_cached(
+                    &c.collection,
+                    &c.pattern,
+                    c.kind,
+                    &cover_cache,
+                ) {
                     s.insert(si);
                 }
                 s
@@ -532,7 +518,6 @@ impl<'a> BenefitEvaluator<'a> {
             stmt_cache: HashMap::new(),
             charged: 0,
             prune: true,
-            fastpath,
             cover_cache,
             use_affected_sets: true,
             use_subconfigs: true,
@@ -880,16 +865,12 @@ impl<'a> BenefitEvaluator<'a> {
         &self.cover_cache
     }
 
-    /// Containment check routed through the shared cover cache when the
-    /// fast path is on, the plain NFA search when it is off. The verdict
-    /// is identical either way (pinned by the parity suite).
+    /// Containment check routed through the shared cover cache (same
+    /// verdict as [`xia_xpath::contain::covers`], which the property
+    /// suite pins it against).
     pub fn covers(&self, general: &LinearPath, specific: &LinearPath) -> bool {
         let t0 = self.telemetry.is_enabled().then(Instant::now);
-        let verdict = if self.fastpath {
-            self.cover_cache.covers(general, specific)
-        } else {
-            xia_xpath::contain::covers(general, specific)
-        };
+        let verdict = self.cover_cache.covers(general, specific);
         if let Some(t0) = t0 {
             self.telemetry.record(Hist::ContainCheck, t0.elapsed());
         }

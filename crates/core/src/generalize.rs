@@ -25,7 +25,7 @@
 //!
 //! * [`generalize_set_naive`] — the literal Algorithm 1 loop: every round
 //!   re-scans (frontier × all) ordered pairs, checking compatibility pair
-//!   by pair.
+//!   by pair. Kept as the test reference.
 //! * [`generalize_set_fast`] — the semi-naive evaluation: candidates are
 //!   bucketed by their (collection, value-kind) compatibility key so
 //!   incompatible pairs are never enumerated, each unordered pair is
@@ -35,7 +35,8 @@
 //!   Skipped work is counted (`pairs_skipped_bucket`, `pairs_memo_hits`)
 //!   but the *effect sequence* on the candidate set — insertion order of
 //!   new candidates, DAG edge order, affected-set unions — is byte-for-
-//!   byte the naive one, which the determinism suite pins A/B.
+//!   byte the naive one, which the determinism suite pins A/B. This is
+//!   the driver the advisor runs.
 
 use crate::candidate::{CandId, CandOrigin, CandidateSet};
 use std::collections::{HashMap, HashSet};
@@ -149,15 +150,16 @@ fn find_occurrence(steps: &[LinearStep], from: usize, test: NameTest) -> Option<
 /// Applies pairwise generalization over a candidate set until no new
 /// pattern appears (the paper's fixpoint), inserting generalized
 /// candidates and recording DAG edges `generalized → generalized-from`.
-/// Uncounted convenience wrapper over [`generalize_set_naive`].
+/// Uncounted convenience wrapper over [`generalize_set_fast`].
 pub fn generalize_set(set: &mut CandidateSet) -> Vec<CandId> {
-    generalize_set_naive(set, &Telemetry::off(), &EventJournal::off())
+    generalize_set_fast(set, &Telemetry::off(), &EventJournal::off())
 }
 
 /// The literal Algorithm 1 fixpoint: each round visits every ordered
 /// (frontier × all) pair and re-derives compatibility and `generalize_pair`
-/// from scratch. This is the parity baseline the semi-naive path is
-/// verified against (`--no-fastpath`).
+/// from scratch. This is the reference the semi-naive path is verified
+/// against (the property suite and the determinism matrix); the advisor
+/// itself always runs [`generalize_set_fast`].
 ///
 /// Two candidates are compatible iff they live on the same collection and
 /// have the same value kind. Generalized results that are equivalent to an

@@ -29,9 +29,31 @@ pub use dp::dp_knapsack;
 pub use greedy::{greedy, greedy_heuristics};
 pub use topdown::top_down;
 
+use crate::advisor::SearchAlgorithm;
 use crate::benefit::BenefitEvaluator;
 use crate::candidate::CandId;
 use std::collections::HashMap;
+
+/// Runs `algorithm` over `candidates` within `budget` bytes; `beta` is the
+/// greedy-heuristics size threshold. This is the search step of
+/// [`crate::Advisor::recommend`], public so experiments and tests can
+/// drive a hand-configured evaluator through the same dispatch.
+pub fn run(
+    ev: &mut BenefitEvaluator<'_>,
+    candidates: &[CandId],
+    budget: u64,
+    algorithm: SearchAlgorithm,
+    beta: f64,
+) -> Vec<CandId> {
+    match algorithm {
+        SearchAlgorithm::Greedy => greedy(ev, candidates, budget),
+        SearchAlgorithm::GreedyHeuristics => greedy_heuristics(ev, candidates, budget, beta),
+        SearchAlgorithm::TopDownLite => top_down(ev, candidates, budget, false),
+        SearchAlgorithm::TopDownFull => top_down(ev, candidates, budget, true),
+        SearchAlgorithm::Dp => dp_knapsack(ev, candidates, budget),
+        SearchAlgorithm::Cophy => cophy(ev, candidates, budget),
+    }
+}
 
 /// Shared helper: standalone (single-index) benefits. Evaluated as one
 /// batch so every singleton's what-if calls fan out across the evaluator's

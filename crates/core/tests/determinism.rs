@@ -9,9 +9,15 @@
 //! identical counter totals at `--jobs` 1, 4, and 8 — clean, under
 //! injected faults, and under an exhausted what-if budget.
 
-use xia_advisor::{Advisor, AdvisorParams, SearchAlgorithm, WhatIfBudget};
+use xia_advisor::advisor::RecommendedIndex;
+use xia_advisor::candidate::CandOrigin;
+use xia_advisor::{
+    enumerate_candidates_traced, generalize_set_naive, search, size_candidates_traced, Advisor,
+    AdvisorParams, BenefitEvaluator, CandId, CandidateSet, Recommendation, SearchAlgorithm,
+    WhatIfBudget,
+};
 use xia_fault::{FaultInjector, FaultSite};
-use xia_obs::{Counter, Telemetry};
+use xia_obs::{Counter, Event, Telemetry};
 use xia_storage::Database;
 use xia_workloads::tpox::{self, TpoxConfig};
 use xia_workloads::Workload;
@@ -46,21 +52,133 @@ struct Fingerprint {
     optimizer_calls: u64,
     cache_hits: u64,
     cache_misses: u64,
+    /// The rest of what `xia recommend` prints: candidates (basic, total),
+    /// degraded, cost fallbacks, quarantined statements.
+    outcome: (usize, usize, bool, u64, usize),
     counters: Vec<(Counter, u64)>,
 }
 
-fn run(algo: SearchAlgorithm, jobs: usize, make_params: impl Fn() -> AdvisorParams) -> Fingerprint {
+/// How a fingerprinted run reaches its recommendation. The advisor always
+/// prunes and always generalizes semi-naively; the other two paths
+/// rebuild the reference each fast path is held equal to from public
+/// parts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Route {
+    /// `Advisor::recommend`, the shipped pipeline.
+    Advisor,
+    /// Pruning off: `BenefitEvaluator::configured` with `prune = false`,
+    /// driven through the same `search::run` the advisor uses.
+    Unpruned,
+    /// Naive generalization: `Advisor::recommend_prepared` over a set
+    /// built by enumeration, `generalize_set_naive`, and sizing.
+    Naive,
+}
+
+fn tpox_tiny() -> (Database, Workload) {
     let mut db = Database::new();
     let cfg = TpoxConfig::tiny();
     tpox::generate(&mut db, &cfg);
     let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
+    (db, w)
+}
+
+/// `Advisor::prepare` with the literal Algorithm 1 fixpoint in place of
+/// the semi-naive one: same fault/telemetry wiring, same journal events.
+fn prepare_naive(db: &mut Database, w: &Workload, params: &AdvisorParams) -> CandidateSet {
+    db.set_faults(&params.faults);
+    db.set_telemetry(&params.telemetry);
+    let mut set = enumerate_candidates_traced(db, w, &params.telemetry);
+    for c in set.iter() {
+        params.journal.emit(|| Event::CandidateGenerated {
+            collection: c.collection.clone(),
+            pattern: c.pattern.to_string(),
+            kind: c.kind.to_string(),
+            origin: "basic".to_string(),
+        });
+    }
+    generalize_set_naive(&mut set, &params.telemetry, &params.journal);
+    size_candidates_traced(db, &mut set, &params.telemetry);
+    set
+}
+
+/// `Advisor::recommend`, or with `naive` `Advisor::recommend_prepared`
+/// over a [`prepare_naive`] set.
+fn advise(
+    naive: bool,
+    db: &mut Database,
+    w: &Workload,
+    algo: SearchAlgorithm,
+    params: &AdvisorParams,
+) -> Recommendation {
+    let budget = u64::MAX / 2;
+    if naive {
+        let set = prepare_naive(db, w, params);
+        return Advisor::recommend_prepared(db, w, &set, budget, algo, params).expect("advise");
+    }
+    Advisor::recommend(db, w, budget, algo, params).expect("advise")
+}
+
+fn pinned(t: &Telemetry) -> Vec<(Counter, u64)> {
+    PINNED.iter().map(|&c| (c, t.get(c))).collect()
+}
+
+fn run_via(
+    route: Route,
+    algo: SearchAlgorithm,
+    jobs: usize,
+    make_params: impl Fn() -> AdvisorParams,
+) -> (Fingerprint, Telemetry) {
+    let (mut db, w) = tpox_tiny();
     let params = AdvisorParams {
         jobs,
         telemetry: Telemetry::new(),
         ..make_params()
     };
-    let rec = Advisor::recommend(&mut db, &w, u64::MAX / 2, algo, &params).expect("advise");
-    Fingerprint {
+    if route == Route::Unpruned {
+        let set = Advisor::prepare(&mut db, &w, &params);
+        let mut ev = BenefitEvaluator::configured(&mut db, &w, &set, &params);
+        ev.prune = false;
+        let all: Vec<CandId> = set.ids().collect();
+        let config = search::run(&mut ev, &all, u64::MAX / 2, algo, params.beta);
+        let indexes = config
+            .iter()
+            .map(|&id| {
+                let c = set.get(id);
+                let ix = RecommendedIndex {
+                    collection: c.collection.clone(),
+                    pattern: c.pattern.to_string(),
+                    kind: c.kind,
+                    size: c.size,
+                    general: c.origin == CandOrigin::Generalized,
+                };
+                format!("{ix:?}")
+            })
+            .collect();
+        let est_benefit = ev.benefit(&config);
+        let workload_cost = ev.workload_cost(&config);
+        let stats = ev.eval_stats();
+        let fp = Fingerprint {
+            indexes,
+            est_benefit_bits: est_benefit.to_bits(),
+            baseline_bits: ev.baseline_cost().to_bits(),
+            workload_bits: workload_cost.to_bits(),
+            optimizer_calls: stats.optimizer_calls,
+            cache_hits: stats.cache_hits,
+            cache_misses: stats.cache_misses,
+            outcome: (
+                set.basic_ids().len(),
+                set.len(),
+                ev.is_degraded(),
+                ev.fallback_count(),
+                ev.quarantined().len(),
+            ),
+            counters: pinned(&params.telemetry),
+            config,
+        };
+        return (fp, params.telemetry);
+    }
+    let rec = advise(route == Route::Naive, &mut db, &w, algo, &params);
+    let fp = Fingerprint {
         config: rec.config.clone(),
         indexes: rec.indexes.iter().map(|ix| format!("{ix:?}")).collect(),
         est_benefit_bits: rec.est_benefit.to_bits(),
@@ -69,24 +187,41 @@ fn run(algo: SearchAlgorithm, jobs: usize, make_params: impl Fn() -> AdvisorPara
         optimizer_calls: rec.eval_stats.optimizer_calls,
         cache_hits: rec.eval_stats.cache_hits,
         cache_misses: rec.eval_stats.cache_misses,
-        counters: PINNED
-            .iter()
-            .map(|&c| (c, params.telemetry.get(c)))
-            .collect(),
-    }
+        outcome: (
+            rec.candidates_basic,
+            rec.candidates_total,
+            rec.degraded,
+            rec.cost_fallbacks,
+            rec.quarantined.len(),
+        ),
+        counters: pinned(&params.telemetry),
+    };
+    (fp, params.telemetry)
+}
+
+fn run(algo: SearchAlgorithm, jobs: usize, make_params: impl Fn() -> AdvisorParams) -> Fingerprint {
+    run_via(Route::Advisor, algo, jobs, make_params).0
 }
 
 fn assert_jobs_invariant(algo: SearchAlgorithm, make_params: impl Fn() -> AdvisorParams) {
-    let reference = run(algo, JOBS[0], &make_params);
+    assert_jobs_invariant_via(Route::Advisor, algo, make_params);
+}
+
+fn assert_jobs_invariant_via(
+    route: Route,
+    algo: SearchAlgorithm,
+    make_params: impl Fn() -> AdvisorParams,
+) {
+    let (reference, _) = run_via(route, algo, JOBS[0], &make_params);
     assert!(
         !reference.config.is_empty(),
         "suite must exercise a non-trivial recommendation"
     );
     for &jobs in &JOBS[1..] {
-        let other = run(algo, jobs, &make_params);
+        let (other, _) = run_via(route, algo, jobs, &make_params);
         assert_eq!(
             reference, other,
-            "jobs=1 and jobs={jobs} disagree for {algo:?}"
+            "jobs=1 and jobs={jobs} disagree for {algo:?} via {route:?}"
         );
     }
 }
@@ -205,15 +340,9 @@ fn values(f: &Fingerprint) -> (Vec<xia_advisor::CandId>, Vec<String>, u64, u64, 
 
 fn assert_prune_invariant(algo: SearchAlgorithm, make_params: impl Fn() -> AdvisorParams) {
     for jobs in [1, 4] {
-        let on = run(algo, jobs, || AdvisorParams {
-            prune: true,
-            ..make_params()
-        });
+        let on = run(algo, jobs, &make_params);
         assert!(!on.config.is_empty() || algo == SearchAlgorithm::Greedy);
-        let off = run(algo, jobs, || AdvisorParams {
-            prune: false,
-            ..make_params()
-        });
+        let (off, _) = run_via(Route::Unpruned, algo, jobs, &make_params);
         assert_eq!(
             values(&on),
             values(&off),
@@ -260,39 +389,30 @@ fn pruning_preserves_recommendation_under_exhausted_budget() {
 
 #[test]
 fn unpruned_mode_is_jobs_invariant() {
-    // `--no-prune` replays statement-cache hits through real optimizer
-    // calls; those calls are planned on the coordinator like any other,
-    // so the mode stays jobs-invariant including every pinned counter.
-    assert_jobs_invariant(SearchAlgorithm::GreedyHeuristics, || AdvisorParams {
-        prune: false,
-        ..AdvisorParams::default()
-    });
+    // With pruning off the evaluator replays statement-cache hits
+    // through real optimizer calls; those calls are planned on the
+    // coordinator like any other, so the mode stays jobs-invariant
+    // including every pinned counter.
+    assert_jobs_invariant_via(
+        Route::Unpruned,
+        SearchAlgorithm::GreedyHeuristics,
+        AdvisorParams::default,
+    );
 }
 
 #[test]
 fn pruning_saves_calls_and_reports_counters() {
-    let run_with = |prune: bool| {
-        let mut db = Database::new();
-        let cfg = TpoxConfig::tiny();
-        tpox::generate(&mut db, &cfg);
-        let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
-        let params = AdvisorParams {
-            prune,
-            telemetry: Telemetry::new(),
-            ..AdvisorParams::default()
-        };
-        let rec = Advisor::recommend(
-            &mut db,
-            &w,
-            u64::MAX / 2,
+    let run_with = |route: Route| {
+        let (fp, t) = run_via(
+            route,
             SearchAlgorithm::GreedyHeuristics,
-            &params,
-        )
-        .expect("advise");
-        (rec.eval_stats.optimizer_calls, params.telemetry)
+            1,
+            AdvisorParams::default,
+        );
+        (fp.optimizer_calls, t)
     };
-    let (calls_on, t_on) = run_with(true);
-    let (calls_off, t_off) = run_with(false);
+    let (calls_on, t_on) = run_with(Route::Advisor);
+    let (calls_off, t_off) = run_with(Route::Unpruned);
     assert!(
         calls_on < calls_off,
         "pruning saved no optimizer calls: on={calls_on} off={calls_off}"
@@ -308,22 +428,17 @@ fn pruning_saves_calls_and_reports_counters() {
     );
 }
 
-/// `--no-fastpath` parity: the interning/semi-naive fast path must leave
-/// the *entire* fingerprint untouched — recommendation, every cost bit,
-/// and every pinned counter. (The fast path's own accounting lives in
-/// counters outside the pinned set, so fast-on and fast-off runs agree on
-/// everything compared here.)
+/// Fast-path parity: the interning/semi-naive fast path must leave the
+/// *entire* fingerprint untouched — recommendation, every cost bit,
+/// everything `xia recommend` prints, and every pinned counter — against
+/// the naive fixpoint. (The fast path's own accounting lives in counters
+/// outside the pinned set, so both paths agree on everything compared
+/// here.)
 fn assert_fastpath_invariant(algo: SearchAlgorithm, make_params: impl Fn() -> AdvisorParams) {
     for jobs in [1, 4] {
-        let on = run(algo, jobs, || AdvisorParams {
-            fastpath: true,
-            ..make_params()
-        });
+        let on = run(algo, jobs, &make_params);
         assert!(!on.config.is_empty() || algo == SearchAlgorithm::Greedy);
-        let off = run(algo, jobs, || AdvisorParams {
-            fastpath: false,
-            ..make_params()
-        });
+        let (off, _) = run_via(Route::Naive, algo, jobs, &make_params);
         assert_eq!(
             on, off,
             "fast path changed the outcome for {algo:?} at jobs={jobs}"
@@ -360,30 +475,30 @@ fn fastpath_preserves_recommendation_under_exhausted_budget() {
 
 #[test]
 fn naive_mode_is_jobs_invariant() {
-    // `--no-fastpath` is the parity baseline; it must satisfy the same
-    // jobs-invariance contract as the default path.
-    assert_jobs_invariant(SearchAlgorithm::GreedyHeuristics, || AdvisorParams {
-        fastpath: false,
-        ..AdvisorParams::default()
-    });
+    // The naive fixpoint is the parity reference; it must satisfy the
+    // same jobs-invariance contract as the default path.
+    assert_jobs_invariant_via(
+        Route::Naive,
+        SearchAlgorithm::GreedyHeuristics,
+        AdvisorParams::default,
+    );
 }
 
 /// Candidate-set-level parity on the real TPoX workload: patterns, kinds,
 /// origins, and DAG edge lists (in stored order) must be byte-identical
-/// with the semi-naive fixpoint on or off.
+/// between the semi-naive fixpoint and the naive one.
 #[test]
 fn fastpath_preserves_candidate_set_and_dag() {
-    let prepare = |fastpath: bool| {
-        let mut db = Database::new();
-        let cfg = TpoxConfig::tiny();
-        tpox::generate(&mut db, &cfg);
-        let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
+    let prepare = |route: Route| {
+        let (mut db, w) = tpox_tiny();
         let params = AdvisorParams {
-            fastpath,
             telemetry: Telemetry::new(),
             ..AdvisorParams::default()
         };
-        let set = Advisor::prepare(&mut db, &w, &params);
+        let set = match route {
+            Route::Naive => prepare_naive(&mut db, &w, &params),
+            _ => Advisor::prepare(&mut db, &w, &params),
+        };
         let dump: Vec<String> = set
             .iter()
             .map(|c| {
@@ -402,8 +517,8 @@ fn fastpath_preserves_candidate_set_and_dag() {
             .collect();
         (dump, params.telemetry)
     };
-    let (fast, t_fast) = prepare(true);
-    let (naive, t_naive) = prepare(false);
+    let (fast, t_fast) = prepare(Route::Advisor);
+    let (naive, t_naive) = prepare(Route::Naive);
     assert_eq!(fast, naive, "candidate set diverges fast vs naive");
     // Both modes report pair visits; the fast path visits strictly fewer.
     let nv = t_naive.get(Counter::GeneralizePairsVisited);
@@ -440,24 +555,28 @@ fn repeated_runs_at_same_jobs_are_identical() {
 /// One full advisor run with the journal enabled; returns the journal
 /// JSONL and the time-masked trace-report JSON.
 fn run_observed(jobs: usize, make_params: impl Fn() -> AdvisorParams) -> (String, String) {
-    let mut db = Database::new();
-    let cfg = TpoxConfig::tiny();
-    tpox::generate(&mut db, &cfg);
-    let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
+    run_observed_via(false, jobs, make_params)
+}
+
+fn run_observed_via(
+    naive: bool,
+    jobs: usize,
+    make_params: impl Fn() -> AdvisorParams,
+) -> (String, String) {
+    let (mut db, w) = tpox_tiny();
     let params = AdvisorParams {
         jobs,
         telemetry: Telemetry::new(),
         journal: xia_obs::EventJournal::new(),
         ..make_params()
     };
-    let rec = Advisor::recommend(
+    let rec = advise(
+        naive,
         &mut db,
         &w,
-        u64::MAX / 2,
         SearchAlgorithm::GreedyHeuristics,
         &params,
-    )
-    .expect("advise");
+    );
     assert!(!rec.config.is_empty());
     let mut report = params.telemetry.report();
     mask_report(&mut report);
@@ -536,14 +655,8 @@ fn journal_jsonl_is_byte_identical_across_jobs_under_exhausted_budget() {
 
 #[test]
 fn journal_jsonl_is_identical_fastpath_vs_naive() {
-    let (fast, _) = run_observed(1, || AdvisorParams {
-        fastpath: true,
-        ..AdvisorParams::default()
-    });
-    let (naive, _) = run_observed(1, || AdvisorParams {
-        fastpath: false,
-        ..AdvisorParams::default()
-    });
+    let (fast, _) = run_observed(1, AdvisorParams::default);
+    let (naive, _) = run_observed_via(true, 1, AdvisorParams::default);
     assert_eq!(
         fast, naive,
         "fast-path and naive generalization must derive the same events"
@@ -614,10 +727,7 @@ fn run_lifecycle(
     ctl: RunController,
     resume_from: Option<&std::path::Path>,
 ) -> LifecycleRun {
-    let mut db = Database::new();
-    let cfg = TpoxConfig::tiny();
-    tpox::generate(&mut db, &cfg);
-    let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
+    let (mut db, w) = tpox_tiny();
     let params = AdvisorParams {
         jobs,
         telemetry: Telemetry::new(),
@@ -799,10 +909,7 @@ fn governor_ladder_is_deterministic_across_jobs() {
 
 #[test]
 fn journal_round_trips_through_jsonl() {
-    let mut db = Database::new();
-    let cfg = TpoxConfig::tiny();
-    tpox::generate(&mut db, &cfg);
-    let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
+    let (mut db, w) = tpox_tiny();
     let params = AdvisorParams {
         journal: xia_obs::EventJournal::new(),
         ..AdvisorParams::default()

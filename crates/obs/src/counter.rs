@@ -84,8 +84,8 @@ pub enum Counter {
     GovernorDemotions,
     /// Run-progress checkpoints written by the run controller.
     CheckpointsWritten,
-    /// Documents ingested through the streaming (SAX-style) parse path
-    /// instead of the DOM parser.
+    /// Documents parsed from XML text on the insert and batch-ingest paths
+    /// (documents built in memory are not counted).
     DocsStreamed,
     /// Multi-document ingestion batches processed (one per worker chunk of
     /// a parallel `ingest_batch` call).

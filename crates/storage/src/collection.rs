@@ -22,7 +22,7 @@ impl DocId {
 /// A collection of XML documents sharing one vocabulary — the equivalent of
 /// one XML-typed column in the paper's DB2 prototype.
 ///
-/// Alongside the DOM arenas the collection maintains a columnar
+/// Alongside the document arenas the collection maintains a columnar
 /// projection of every leaf value ([`ColumnStore`]); inserts keep it
 /// fresh incrementally (streamed inserts fuse the column append into the
 /// parse), while deletes and in-place updates mark it dirty until the
@@ -44,9 +44,9 @@ impl Default for Collection {
     }
 }
 
-/// Streaming sink that builds the DOM arena *and* appends the document's
-/// leaf values to the collection's column store in one pass (events
-/// arrive in the per-path row order the store requires; see
+/// Streaming sink that builds the document arena *and* appends the
+/// document's leaf values to the collection's column store in one pass
+/// (events arrive in the per-path row order the store requires; see
 /// `columnar.rs`).
 struct ColumnDocSink<'a> {
     inner: DocumentSink,
@@ -99,21 +99,17 @@ impl Collection {
         &self.vocab
     }
 
-    /// Parses and stores an XML document through the streaming parse
-    /// path: one scan builds the DOM arena and appends the leaf values to
-    /// the column store, without an intermediate tree walk. Produces a
-    /// state byte-identical to [`Collection::insert_xml_dom`].
+    /// Parses and stores an XML document: one scan builds the arena and
+    /// appends the leaf values to the column store, without an
+    /// intermediate tree walk. Produces a state byte-identical to
+    /// [`Collection::insert_document`] of [`xia_xml::parse_document`].
     pub fn insert_xml(&mut self, xml: &str) -> Result<DocId, XmlError> {
         let id = DocId(self.docs.len() as u32);
         if !self.columns_clean {
             // Columns are already stale: skip the fused append, parse
             // straight into the arena.
-            let mut sink = DocumentSink::new();
-            stream_document(xml, &mut self.vocab, &mut sink)?;
+            let doc = parse_document(xml, &mut self.vocab)?;
             self.telemetry.incr(Counter::DocsStreamed);
-            let doc = sink
-                .into_document()
-                .map_err(|message| XmlError { offset: 0, message })?;
             return Ok(self.push_doc(doc));
         }
         let mut sink = ColumnDocSink {
@@ -137,14 +133,6 @@ impl Collection {
                 Err(e)
             }
         }
-    }
-
-    /// Parses and stores an XML document through the DOM parser — the
-    /// `--no-stream` escape hatch. Byte-identical outcome to
-    /// [`Collection::insert_xml`].
-    pub fn insert_xml_dom(&mut self, xml: &str) -> Result<DocId, XmlError> {
-        let doc = parse_document(xml, &mut self.vocab)?;
-        Ok(self.insert_document(doc))
     }
 
     /// Stores a document parsed against a *different* vocabulary by

@@ -1,7 +1,7 @@
 //! Columnar leaf-value storage.
 //!
-//! The DOM arena is the system of record, but statistics collection and
-//! physical index builds only care about *leaf values grouped by rooted
+//! The document arena is the system of record, but statistics collection
+//! and physical index builds only care about *leaf values grouped by rooted
 //! path* — and chasing `Node` pointers document-by-document for those is
 //! the single hottest loop once collections grow 100×. The
 //! [`ColumnStore`] batches every leaf value into per-path typed arrays
@@ -14,7 +14,7 @@
 //! any later node at its path opens, and attributes are emitted in
 //! preorder), and [`ColumnStore::append_doc`] walks the arena in `NodeId`
 //! order. Consumers rely on this to reproduce the exact scan-order output
-//! of the DOM path.
+//! of the arena walk.
 
 use crate::collection::DocId;
 use xia_xml::{Document, NodeId, PathId, Value};

@@ -18,25 +18,18 @@
 use crate::collection::{Collection, DocId};
 use std::fmt;
 use xia_obs::{Counter, Telemetry};
-use xia_xml::{parse_document, parse_document_streaming, Document, Vocabulary, XmlError};
+use xia_xml::{parse_document, Document, Vocabulary, XmlError};
 
 /// Options for [`ingest_batch`].
 #[derive(Debug, Clone, Copy)]
 pub struct IngestOptions {
     /// Worker threads; `0` means one per available CPU.
     pub jobs: usize,
-    /// Parse with the DOM parser instead of the streaming path (the
-    /// `--no-stream` escape hatch). The resulting collection is
-    /// byte-identical either way.
-    pub use_dom: bool,
 }
 
 impl Default for IngestOptions {
     fn default() -> Self {
-        Self {
-            jobs: 1,
-            use_dom: false,
-        }
+        Self { jobs: 1 }
     }
 }
 
@@ -90,7 +83,6 @@ struct WorkerOutput {
 fn parse_chunk(
     texts: &[impl AsRef<str>],
     chunk_start: usize,
-    use_dom: bool,
     telemetry_enabled: bool,
 ) -> WorkerOutput {
     let mut out = WorkerOutput {
@@ -104,17 +96,11 @@ fn parse_chunk(
         },
     };
     for (offset, text) in texts.iter().enumerate() {
-        let parsed = if use_dom {
-            parse_document(text.as_ref(), &mut out.vocab)
-        } else {
-            let r = parse_document_streaming(text.as_ref(), &mut out.vocab);
-            if r.is_ok() {
+        match parse_document(text.as_ref(), &mut out.vocab) {
+            Ok(doc) => {
                 out.scratch.incr(Counter::DocsStreamed);
+                out.docs.push(doc);
             }
-            r
-        };
-        match parsed {
-            Ok(doc) => out.docs.push(doc),
             Err(error) => {
                 out.error = Some(IngestError {
                     index: chunk_start + offset,
@@ -140,16 +126,14 @@ pub fn ingest_batch(
     let telemetry_enabled = collection.telemetry().is_enabled();
 
     let mut outputs: Vec<WorkerOutput> = if workers <= 1 {
-        vec![parse_chunk(texts, 0, opts.use_dom, telemetry_enabled)]
+        vec![parse_chunk(texts, 0, telemetry_enabled)]
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = texts
                 .chunks(chunk_len)
                 .enumerate()
                 .map(|(w, chunk)| {
-                    scope.spawn(move || {
-                        parse_chunk(chunk, w * chunk_len, opts.use_dom, telemetry_enabled)
-                    })
+                    scope.spawn(move || parse_chunk(chunk, w * chunk_len, telemetry_enabled))
                 })
                 .collect();
             handles
@@ -234,15 +218,7 @@ mod tests {
             seq.insert_xml(t).unwrap();
         }
         let mut par = Collection::new("C");
-        let report = ingest_batch(
-            &mut par,
-            &batch,
-            IngestOptions {
-                jobs: 4,
-                use_dom: false,
-            },
-        )
-        .unwrap();
+        let report = ingest_batch(&mut par, &batch, IngestOptions { jobs: 4 }).unwrap();
         assert_eq!(report.doc_ids.len(), 13);
         assert_eq!(report.workers, 4);
         assert_eq!(report.batches, 4);
@@ -257,15 +233,7 @@ mod tests {
         ingest_batch(&mut baseline, &batch, IngestOptions::default()).unwrap();
         for jobs in [2, 3, 8, 0] {
             let mut c = Collection::new("C");
-            let report = ingest_batch(
-                &mut c,
-                &batch,
-                IngestOptions {
-                    jobs,
-                    use_dom: false,
-                },
-            )
-            .unwrap();
+            let report = ingest_batch(&mut c, &batch, IngestOptions { jobs }).unwrap();
             assert!(report.workers >= 1);
             assert_eq!(fingerprint(&baseline), fingerprint(&c), "jobs = {jobs}");
         }
@@ -273,28 +241,19 @@ mod tests {
 
     #[test]
     fn dom_and_streaming_ingest_agree() {
+        // Batch ingest (parse on workers, remap at merge) against the
+        // materialized two-pass path: `parse_document` then
+        // `insert_document`, which appends columns from the finished tree.
         let batch = texts(9);
-        let mut stream = Collection::new("C");
-        ingest_batch(
-            &mut stream,
-            &batch,
-            IngestOptions {
-                jobs: 3,
-                use_dom: false,
-            },
-        )
-        .unwrap();
-        let mut dom = Collection::new("C");
-        ingest_batch(
-            &mut dom,
-            &batch,
-            IngestOptions {
-                jobs: 3,
-                use_dom: true,
-            },
-        )
-        .unwrap();
-        assert_eq!(fingerprint(&stream), fingerprint(&dom));
+        let mut batched = Collection::new("C");
+        ingest_batch(&mut batched, &batch, IngestOptions { jobs: 3 }).unwrap();
+        let mut two_pass = Collection::new("C");
+        for t in &batch {
+            let doc = parse_document(t, two_pass.vocab_mut()).unwrap();
+            two_pass.insert_document(doc);
+        }
+        assert_eq!(fingerprint(&batched), fingerprint(&two_pass));
+        assert_eq!(batched.columns().unwrap(), two_pass.columns().unwrap());
     }
 
     #[test]
@@ -305,15 +264,7 @@ mod tests {
         let mut c = Collection::new("C");
         c.insert_xml("<pre><existing>1</existing></pre>").unwrap();
         let before = fingerprint(&c);
-        let err = ingest_batch(
-            &mut c,
-            &batch,
-            IngestOptions {
-                jobs: 4,
-                use_dom: false,
-            },
-        )
-        .unwrap_err();
+        let err = ingest_batch(&mut c, &batch, IngestOptions { jobs: 4 }).unwrap_err();
         // Earliest bad text wins regardless of chunk layout.
         assert_eq!(err.index, 3);
         assert_eq!(c.len(), 1);
@@ -326,15 +277,7 @@ mod tests {
         let mut c = Collection::new("C");
         c.set_telemetry(&t);
         let batch = texts(8);
-        ingest_batch(
-            &mut c,
-            &batch,
-            IngestOptions {
-                jobs: 2,
-                use_dom: false,
-            },
-        )
-        .unwrap();
+        ingest_batch(&mut c, &batch, IngestOptions { jobs: 2 }).unwrap();
         assert_eq!(t.get(Counter::DocsStreamed), 8);
         assert_eq!(t.get(Counter::IngestBatches), 2);
     }

@@ -12,8 +12,11 @@
 //!   makes partial-index construction, statistics collection, and index
 //!   matching exact and cheap.
 //! * [`Document`] — an arena-allocated XML tree with typed leaf values.
-//! * [`parse_document`] — a small, dependency-free XML parser (elements,
-//!   attributes, text, comments, CDATA, the five predefined entities).
+//! * [`stream_document`] — the one XML parser: a small, dependency-free,
+//!   single-pass scanner (elements, attributes, text, comments, CDATA, the
+//!   five predefined entities) that pushes events into a [`StreamSink`].
+//! * [`parse_document`] — that scanner driving a [`DocumentSink`], which
+//!   builds the arena [`Document`].
 //! * [`DocBuilder`] — a programmatic construction API used by the workload
 //!   generators.
 //! * [`write_document`] — serializer (round-trips through the parser).

@@ -1,14 +1,17 @@
 //! A small, dependency-free XML parser.
 //!
+//! [`parse_document`] builds the arena from the event scanner in
+//! [`crate::stream`]; this module holds what that scanner relies on: the
+//! error type, entity decoding, and the nesting cap.
+//!
 //! Supports the subset of XML that the workload generators and tests emit:
 //! elements, attributes, character data, CDATA sections, comments, an
 //! optional XML declaration, and the five predefined entities. Namespaces
 //! are treated as part of the name (single-namespace assumption, see
 //! DESIGN.md §6).
 
-use crate::interner::Symbol;
-use crate::model::{Document, Node, NodeId, NodeKind};
-use crate::value::Value;
+use crate::model::Document;
+use crate::stream::{stream_document, DocumentSink};
 use crate::Vocabulary;
 use std::fmt;
 
@@ -34,291 +37,14 @@ impl fmt::Display for XmlError {
 impl std::error::Error for XmlError {}
 
 /// Parses an XML document, interning names and rooted paths in `vocab`.
+///
+/// This is [`stream_document`] driving a [`DocumentSink`]: the one parser
+/// in the crate, whether a caller wants the arena or only the events.
 pub fn parse_document(input: &str, vocab: &mut Vocabulary) -> Result<Document, XmlError> {
-    Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        vocab,
-    }
-    .parse()
-}
-
-struct Parser<'a, 'v> {
-    bytes: &'a [u8],
-    pos: usize,
-    vocab: &'v mut Vocabulary,
-}
-
-struct Frame {
-    node: NodeId,
-    text: String,
-    element_children: usize,
-}
-
-impl<'a, 'v> Parser<'a, 'v> {
-    fn err(&self, message: impl Into<String>) -> XmlError {
-        XmlError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, s: &str) -> Result<(), XmlError> {
-        if self.starts_with(s) {
-            self.pos += s.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{s}`")))
-        }
-    }
-
-    fn skip_until(&mut self, end: &str) -> Result<(), XmlError> {
-        match find_sub(&self.bytes[self.pos..], end.as_bytes()) {
-            Some(i) => {
-                self.pos += i + end.len();
-                Ok(())
-            }
-            None => Err(self.err(format!("unterminated construct, expected `{end}`"))),
-        }
-    }
-
-    fn skip_misc(&mut self) -> Result<(), XmlError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                self.pos += 2;
-                self.skip_until("?>")?;
-            } else if self.starts_with("<!--") {
-                self.pos += 4;
-                self.skip_until("-->")?;
-            } else if self.starts_with("<!DOCTYPE") {
-                self.pos += 9;
-                self.skip_until(">")?;
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    fn parse(mut self) -> Result<Document, XmlError> {
-        self.skip_misc()?;
-        if self.peek() != Some(b'<') {
-            return Err(self.err("expected root element"));
-        }
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut stack: Vec<Frame> = Vec::new();
-
-        self.parse_open_tag(&mut nodes, &mut stack)?;
-        while !stack.is_empty() {
-            match self.peek() {
-                None => return Err(self.err("unexpected end of input inside element")),
-                Some(b'<') => {
-                    if self.starts_with("<!--") {
-                        self.pos += 4;
-                        self.skip_until("-->")?;
-                    } else if self.starts_with("<![CDATA[") {
-                        self.pos += 9;
-                        let start = self.pos;
-                        self.skip_until("]]>")?;
-                        let text = std::str::from_utf8(&self.bytes[start..self.pos - 3])
-                            .map_err(|_| self.err("invalid UTF-8 in CDATA"))?;
-                        stack
-                            .last_mut()
-                            .expect("stack non-empty in loop")
-                            .text
-                            .push_str(text);
-                    } else if self.starts_with("</") {
-                        self.parse_close_tag(&mut nodes, &mut stack)?;
-                    } else if self.starts_with("<?") {
-                        self.pos += 2;
-                        self.skip_until("?>")?;
-                    } else {
-                        self.parse_open_tag(&mut nodes, &mut stack)?;
-                    }
-                }
-                Some(_) => {
-                    let text = self.parse_text()?;
-                    stack
-                        .last_mut()
-                        .expect("stack non-empty in loop")
-                        .text
-                        .push_str(&text);
-                }
-            }
-        }
-        self.skip_misc()?;
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing content after root element"));
-        }
-        Ok(Document::from_arena(nodes))
-    }
-
-    fn parse_name(&mut self) -> Result<Symbol, XmlError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            let ok = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':');
-            if !ok {
-                break;
-            }
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected a name"));
-        }
-        let name = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in name"))?;
-        Ok(self.vocab.names.intern(name))
-    }
-
-    fn add_node(
-        &mut self,
-        nodes: &mut Vec<Node>,
-        stack: &[Frame],
-        name: Symbol,
-        value: Option<Value>,
-        kind: NodeKind,
-    ) -> NodeId {
-        let parent = stack.last().map(|f| f.node);
-        let parent_path = parent.map(|p| nodes[p.index()].path);
-        let path = self.vocab.paths.extend(parent_path, name);
-        let id = NodeId(nodes.len() as u32);
-        nodes.push(Node {
-            name,
-            parent,
-            children: Vec::new(),
-            path,
-            value,
-            kind,
-        });
-        if let Some(p) = parent {
-            nodes[p.index()].children.push(id);
-        }
-        id
-    }
-
-    fn parse_open_tag(
-        &mut self,
-        nodes: &mut Vec<Node>,
-        stack: &mut Vec<Frame>,
-    ) -> Result<(), XmlError> {
-        self.expect("<")?;
-        if stack.len() >= MAX_XML_DEPTH {
-            return Err(self.err(format!(
-                "element nesting deeper than {MAX_XML_DEPTH} levels"
-            )));
-        }
-        let name = self.parse_name()?;
-        if !stack.is_empty() {
-            stack
-                .last_mut()
-                .expect("checked non-empty")
-                .element_children += 1;
-        } else if !nodes.is_empty() {
-            return Err(self.err("multiple root elements"));
-        }
-        let id = self.add_node(nodes, stack, name, None, NodeKind::Element);
-        stack.push(Frame {
-            node: id,
-            text: String::new(),
-            element_children: 0,
-        });
-
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'>') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'/') => {
-                    self.expect("/>").map_err(|_| self.err("expected `/>`"))?;
-                    let frame = stack.pop().expect("frame just pushed");
-                    debug_assert_eq!(frame.node, id);
-                    return Ok(());
-                }
-                Some(_) => {
-                    let attr_name = self.parse_name()?;
-                    self.skip_ws();
-                    self.expect("=")?;
-                    self.skip_ws();
-                    let quote = match self.peek() {
-                        Some(q @ (b'"' | b'\'')) => q,
-                        _ => return Err(self.err("expected quoted attribute value")),
-                    };
-                    self.pos += 1;
-                    let start = self.pos;
-                    while self.peek().is_some_and(|c| c != quote) {
-                        self.pos += 1;
-                    }
-                    if self.peek().is_none() {
-                        return Err(self.err("unterminated attribute value"));
-                    }
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in attribute"))?;
-                    let decoded = decode_entities(raw).map_err(|m| self.err(m))?;
-                    self.pos += 1;
-                    // Attributes are leaf children; they do not count as
-                    // element children for leaf-value purposes.
-                    self.add_node(
-                        nodes,
-                        stack,
-                        attr_name,
-                        Some(Value::new(&decoded)),
-                        NodeKind::Attribute,
-                    );
-                }
-                None => return Err(self.err("unexpected end of input in tag")),
-            }
-        }
-    }
-
-    fn parse_close_tag(
-        &mut self,
-        nodes: &mut [Node],
-        stack: &mut Vec<Frame>,
-    ) -> Result<(), XmlError> {
-        self.expect("</")?;
-        let name = self.parse_name()?;
-        self.skip_ws();
-        self.expect(">")?;
-        let frame = stack.pop().expect("close tag with empty stack");
-        let node = &mut nodes[frame.node.index()];
-        if node.name != name {
-            return Err(self.err(format!(
-                "mismatched close tag `{}`",
-                self.vocab.names.resolve(name)
-            )));
-        }
-        let text = frame.text.trim();
-        if frame.element_children == 0 && !text.is_empty() {
-            node.value = Some(Value::new(text));
-        }
-        Ok(())
-    }
-
-    fn parse_text(&mut self) -> Result<String, XmlError> {
-        let start = self.pos;
-        while self.peek().is_some_and(|c| c != b'<') {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in text"))?;
-        decode_entities(raw).map_err(|m| self.err(m))
-    }
+    let mut sink = DocumentSink::new();
+    stream_document(input, vocab, &mut sink)?;
+    sink.into_document()
+        .map_err(|message| XmlError { offset: 0, message })
 }
 
 pub(crate) fn find_sub(haystack: &[u8], needle: &[u8]) -> Option<usize> {

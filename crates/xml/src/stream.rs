@@ -1,9 +1,5 @@
-//! Streaming (SAX-style) XML parse path.
+//! Streaming (SAX-style) XML parse path — the crate's one XML scanner.
 //!
-//! [`parse_document`](crate::parse_document) materializes a DOM arena and
-//! is what the original prototype used everywhere. At scale, consumers that
-//! only need per-path events — the interned-path arena, per-path statistics,
-//! columnar leaf storage — should not pay for tree bookkeeping they ignore.
 //! [`stream_document`] scans the input once and pushes semantic events into
 //! a [`StreamSink`]:
 //!
@@ -11,16 +7,14 @@
 //!   has been interned;
 //! * `attribute(name, path, value)` — attributes of the just-opened
 //!   element, in source order (attributes are leaf children in the model);
-//! * `end_element(name, path, value)` — with the leaf value the element
-//!   carries under the DOM parser's rules (text trimmed at close, values
-//!   only on elements without element children).
+//! * `end_element(name, path, value)` — with the element's leaf value (text
+//!   trimmed at close, values only on elements without element children).
 //!
-//! The event rules mirror `parser.rs` frame-for-frame — CDATA passes
-//! verbatim, text is entity-decoded, mixed content drops stray text — so a
-//! [`DocumentSink`] driven by this scanner reproduces the DOM parser's
-//! output **byte-identically**: same arena order, same paths, same values,
-//! same errors for malformed input. The property suite and the
-//! `datapath_overhead_gate` bench hold the two paths equal.
+//! CDATA passes verbatim, text is entity-decoded, and mixed content drops
+//! stray text. Consumers that only need per-path events — per-path
+//! statistics, columnar leaf storage — implement [`StreamSink`] directly;
+//! [`crate::parse_document`] is this scanner driving a [`DocumentSink`],
+//! which rebuilds the arena.
 
 use crate::interner::Symbol;
 use crate::model::{Document, Node, NodeId, NodeKind};
@@ -43,8 +37,7 @@ pub trait StreamSink {
 }
 
 /// Parses `input`, streaming events into `sink` while interning names and
-/// rooted paths in `vocab`. Accepts exactly the inputs
-/// [`crate::parse_document`] accepts.
+/// rooted paths in `vocab`.
 pub fn stream_document(
     input: &str,
     vocab: &mut Vocabulary,
@@ -58,16 +51,10 @@ pub fn stream_document(
     .parse(sink)
 }
 
-/// Streaming drop-in for [`crate::parse_document`]: same `Document`, same
-/// vocabulary effects, same errors, but built through the event path.
-pub fn parse_document_streaming(input: &str, vocab: &mut Vocabulary) -> Result<Document, XmlError> {
-    let mut sink = DocumentSink::new();
-    stream_document(input, vocab, &mut sink)?;
-    sink.into_document()
-        .map_err(|message| XmlError { offset: 0, message })
-}
+/// Alias of [`crate::parse_document`] (this scanner building the arena).
+pub use crate::parser::parse_document as parse_document_streaming;
 
-/// Per-open-element scan state: mirrors the DOM parser's `Frame`.
+/// Per-open-element scan state.
 struct OpenElement {
     name: Symbol,
     path: PathId,
@@ -323,9 +310,9 @@ impl Streamer<'_, '_> {
     }
 }
 
-/// A [`StreamSink`] that rebuilds the DOM arena, assigning node ids in
-/// exactly the order the DOM parser does (elements at open, attributes in
-/// source order). Composable: wrappers can forward events while observing
+/// A [`StreamSink`] that rebuilds the document arena, assigning node ids
+/// in preorder (elements at open, attributes in source order).
+/// Composable: wrappers can forward events while observing
 /// [`DocumentSink::next_id`] to learn the id each event will receive.
 #[derive(Debug, Default)]
 pub struct DocumentSink {
@@ -340,7 +327,7 @@ impl DocumentSink {
     }
 
     /// The node id the next `start_element`/`attribute` event will be
-    /// assigned (ids are dense preorder, as in the DOM parser).
+    /// assigned (ids are dense preorder).
     pub fn next_id(&self) -> NodeId {
         NodeId(self.nodes.len() as u32)
     }
@@ -402,70 +389,107 @@ mod tests {
     use super::*;
     use crate::parse_document;
 
-    fn both(s: &str) -> (Document, Vocabulary, Document, Vocabulary) {
-        let mut v1 = Vocabulary::new();
-        let d1 = parse_document(s, &mut v1).expect("dom parse");
-        let mut v2 = Vocabulary::new();
-        let d2 = parse_document_streaming(s, &mut v2).expect("stream parse");
-        (d1, v1, d2, v2)
-    }
-
-    fn assert_identical(s: &str) {
-        let (d1, v1, d2, v2) = both(s);
-        assert_eq!(d1, d2, "documents differ for {s:?}");
-        assert_eq!(v1, v2, "vocabularies differ for {s:?}");
+    /// Preorder outline of a parsed document: `/a/b=value` per element,
+    /// `@/a/x=value` per attribute. Also checks that every child points
+    /// back to its parent and follows it in preorder.
+    fn outline(s: &str) -> Vec<String> {
+        let mut vocab = Vocabulary::new();
+        let doc = parse_document(s, &mut vocab).expect("parse");
+        let mut out = Vec::new();
+        for (id, node) in doc.nodes() {
+            for &child in &node.children {
+                assert_eq!(doc.node(child).parent, Some(id), "{s:?}");
+                assert!(child > id, "{s:?}");
+            }
+            let marker = if node.kind == NodeKind::Attribute {
+                "@"
+            } else {
+                ""
+            };
+            let mut line = format!("{marker}{}", vocab.path_string(node.path));
+            if let Some(v) = &node.value {
+                line.push('=');
+                line.push_str(v.as_str());
+            }
+            out.push(line);
+        }
+        out
     }
 
     #[test]
-    fn streaming_matches_dom_on_representative_inputs() {
-        for s in [
-            "<a/>",
-            "<Security><Symbol>IBM</Symbol><Yield>4.5</Yield></Security>",
-            r#"<Order id="7" note="a&amp;b"><Total>10</Total></Order>"#,
-            "<a><b/><c/><b><d>x</d></b></a>",
-            "<?xml version=\"1.0\"?><!-- hi --><a><!-- inner --><b><![CDATA[x<y]]></b></a>",
-            "<a><b>&lt;tag&gt; &amp; &#65;&#x42;</b></a>",
-            "<a>\n  <b>1</b>\n</a>",
-            "<a>hello <b>1</b> world</a>",
-            "<!DOCTYPE a><a><b>1</b></a>",
-            "<a><b><![CDATA[x & y &foo]]></b></a>",
-            "<a x='1' y=\"two\"><z/></a>",
-        ] {
-            assert_identical(s);
+    fn representative_inputs_parse_to_the_expected_structure() {
+        let cases: [(&str, &[&str]); 11] = [
+            ("<a/>", &["/a"]),
+            (
+                "<Security><Symbol>IBM</Symbol><Yield>4.5</Yield></Security>",
+                &["/Security", "/Security/Symbol=IBM", "/Security/Yield=4.5"],
+            ),
+            (
+                r#"<Order id="7" note="a&amp;b"><Total>10</Total></Order>"#,
+                &[
+                    "/Order",
+                    "@/Order/id=7",
+                    "@/Order/note=a&b",
+                    "/Order/Total=10",
+                ],
+            ),
+            (
+                "<a><b/><c/><b><d>x</d></b></a>",
+                &["/a", "/a/b", "/a/c", "/a/b", "/a/b/d=x"],
+            ),
+            (
+                "<?xml version=\"1.0\"?><!-- hi --><a><!-- inner --><b><![CDATA[x<y]]></b></a>",
+                &["/a", "/a/b=x<y"],
+            ),
+            (
+                "<a><b>&lt;tag&gt; &amp; &#65;&#x42;</b></a>",
+                &["/a", "/a/b=<tag> & AB"],
+            ),
+            ("<a>\n  <b>1</b>\n</a>", &["/a", "/a/b=1"]),
+            ("<a>hello <b>1</b> world</a>", &["/a", "/a/b=1"]),
+            ("<!DOCTYPE a><a><b>1</b></a>", &["/a", "/a/b=1"]),
+            (
+                "<a><b><![CDATA[x & y &foo]]></b></a>",
+                &["/a", "/a/b=x & y &foo"],
+            ),
+            (
+                "<a x='1' y=\"two\"><z/></a>",
+                &["/a", "@/a/x=1", "@/a/y=two", "/a/z"],
+            ),
+        ];
+        for (input, expected) in cases {
+            assert_eq!(outline(input), expected, "{input:?}");
         }
     }
 
     #[test]
-    fn streaming_rejects_what_dom_rejects() {
-        for s in [
-            "<a><b></a></b>",
-            "<a/>junk",
-            "<a/><b/>",
-            "<a><b>",
-            "<a attr=\"x>",
-            "<a>&#0;</a>",
-            "<a>&nope;</a>",
-            "",
+    fn malformed_inputs_are_rejected_with_a_typed_error() {
+        for (input, message) in [
+            ("<a><b></a></b>", "mismatched close tag"),
+            ("<a/>junk", "trailing content"),
+            ("<a/><b/>", "trailing content"),
+            ("<a><b>", "unexpected end of input"),
+            ("<a attr=\"x>", "unterminated attribute value"),
+            ("<a>&#0;</a>", "not an XML character"),
+            ("<a>&nope;</a>", "unknown entity"),
+            ("", "expected root element"),
         ] {
-            let mut v1 = Vocabulary::new();
-            let dom = parse_document(s, &mut v1);
-            let mut v2 = Vocabulary::new();
-            let stream = parse_document_streaming(s, &mut v2);
-            assert!(dom.is_err() && stream.is_err(), "{s:?}");
+            let mut vocab = Vocabulary::new();
+            let err = parse_document(input, &mut vocab).unwrap_err();
+            assert!(err.message.contains(message), "{input:?}: {err}");
         }
     }
 
     #[test]
     fn cdata_is_verbatim_through_the_streaming_path() {
         let mut vocab = Vocabulary::new();
-        let doc = parse_document_streaming("<a><b><![CDATA[x & y &# &foo]]></b></a>", &mut vocab)
-            .unwrap();
+        let doc = parse_document("<a><b><![CDATA[x & y &# &foo]]></b></a>", &mut vocab).unwrap();
         let b = vocab.lookup_name("b").unwrap();
         assert_eq!(doc.value_at(&[b]).unwrap().as_str(), "x & y &# &foo");
     }
 
     #[test]
-    fn depth_cap_matches_dom() {
+    fn depth_cap_accepts_the_limit_and_rejects_beyond_it() {
         let nested = |depth: usize| {
             let mut s = String::new();
             for _ in 0..depth {
@@ -477,9 +501,15 @@ mod tests {
             }
             s
         };
-        assert_identical(&nested(MAX_XML_DEPTH - 1));
+        let deep = outline(&nested(MAX_XML_DEPTH - 1));
+        assert_eq!(deep.len(), MAX_XML_DEPTH - 1);
+        assert_eq!(
+            deep[deep.len() - 1],
+            format!("{}=1", "/a".repeat(MAX_XML_DEPTH - 1))
+        );
         let mut vocab = Vocabulary::new();
-        assert!(parse_document_streaming(&nested(MAX_XML_DEPTH + 1), &mut vocab).is_err());
+        let err = parse_document(&nested(MAX_XML_DEPTH + 1), &mut vocab).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

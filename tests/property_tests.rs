@@ -465,86 +465,80 @@ fn random_xml_element(rng: &mut Prng, depth: usize, out: &mut String) {
     out.push_str(&format!("</{name}>"));
 }
 
-/// Tentpole parity property: the streaming (SAX-style) parse path must
-/// produce exactly the same document arena *and* the same vocabulary
-/// (name/path intern order) as the DOM parser, over randomized documents
-/// covering CDATA, entity references, attributes, mixed content, and
-/// self-closing tags — plus nesting at the depth cap.
+/// Parse/serialize fixed point: over randomized documents covering CDATA,
+/// entity references, attributes, mixed content, and self-closing tags,
+/// `write_document` of a parsed document parses back to the same arena
+/// *and* the same vocabulary (name/path intern order) in a fresh
+/// dictionary, and re-serializes to the same text — plus nesting at the
+/// depth cap.
 #[test]
-fn streaming_parse_matches_dom() {
-    use xia_xml::{parse_document_streaming, MAX_XML_DEPTH};
+fn streaming_parse_is_a_write_fixed_point() {
+    use xia_xml::MAX_XML_DEPTH;
+
+    fn assert_fixed_point(text: &str, what: &str) {
+        let mut v1 = Vocabulary::new();
+        let d1 = parse_document(text, &mut v1)
+            .unwrap_or_else(|e| panic!("{what}: generated XML must parse: {e}\n`{text}`"));
+        let written = write_document(&d1, &v1);
+        let mut v2 = Vocabulary::new();
+        let d2 = parse_document(&written, &mut v2)
+            .unwrap_or_else(|e| panic!("{what}: serialized XML must parse: {e}\n`{written}`"));
+        assert_eq!(d1, d2, "{what}: arenas diverge on `{text}`");
+        assert_eq!(v1, v2, "{what}: vocabularies diverge on `{text}`");
+        assert_eq!(write_document(&d2, &v2), written, "{what}: `{text}`");
+    }
 
     let mut rng = Prng::seed_from_u64(0x12);
     for case in 0..256 {
         let mut text = String::new();
         random_xml_element(&mut rng, 4, &mut text);
-        let mut v_dom = Vocabulary::new();
-        let d_dom = parse_document(&text, &mut v_dom)
-            .unwrap_or_else(|e| panic!("case {case}: generated XML must parse: {e}\n`{text}`"));
-        let mut v_stream = Vocabulary::new();
-        let d_stream = parse_document_streaming(&text, &mut v_stream)
-            .unwrap_or_else(|e| panic!("case {case}: streaming rejected valid XML: {e}\n`{text}`"));
-        assert_eq!(d_dom, d_stream, "case {case}: arenas diverge on `{text}`");
-        assert_eq!(
-            v_dom, v_stream,
-            "case {case}: vocabularies diverge on `{text}`"
-        );
+        assert_fixed_point(&text, &format!("case {case}"));
     }
 
-    // Nesting one level under the cap parses identically; one level past
-    // it, both parsers reject.
-    for depth in [MAX_XML_DEPTH - 1, MAX_XML_DEPTH + 1] {
-        let text = format!("{}v{}", "<d>".repeat(depth), "</d>".repeat(depth));
-        let mut v_dom = Vocabulary::new();
-        let dom = parse_document(&text, &mut v_dom);
-        let mut v_stream = Vocabulary::new();
-        let stream = parse_document_streaming(&text, &mut v_stream);
-        match (dom, stream) {
-            (Ok(a), Ok(b)) => {
-                assert!(depth < MAX_XML_DEPTH, "depth {depth} must be rejected");
-                assert_eq!(a, b, "depth {depth}: arenas diverge");
-                assert_eq!(v_dom, v_stream, "depth {depth}: vocabularies diverge");
-            }
-            (Err(_), Err(_)) => {
-                assert!(depth >= MAX_XML_DEPTH, "depth {depth} must parse");
-            }
-            (dom, stream) => panic!(
-                "depth {depth}: parsers disagree (dom ok: {}, streaming ok: {})",
-                dom.is_ok(),
-                stream.is_ok()
-            ),
-        }
-    }
+    // Nesting one level under the cap is a fixed point; one level past it
+    // is rejected.
+    let nested = |depth: usize| format!("{}v{}", "<d>".repeat(depth), "</d>".repeat(depth));
+    assert_fixed_point(&nested(MAX_XML_DEPTH - 1), "depth cap - 1");
+    let mut vocab = Vocabulary::new();
+    let err = parse_document(&nested(MAX_XML_DEPTH + 1), &mut vocab).unwrap_err();
+    assert!(err.message.contains("nesting"), "{err}");
 }
 
 /// Columnar statistics parity property: RUNSTATS over the column store
 /// must equal the document-scan fallback, for collections fed through the
-/// streaming path and the DOM path alike.
+/// fused `insert_xml` and through `parse_document` + `insert_document`
+/// (which projects columns from the finished tree) alike.
 #[test]
 fn columnar_stats_match_scan() {
     use xia_storage::{runstats, runstats_scan, Collection};
 
     let mut rng = Prng::seed_from_u64(0x13);
     for case in 0..24 {
-        let mut stream = Collection::new("P");
-        let mut dom = Collection::new("P");
+        let mut fused = Collection::new("P");
+        let mut two_pass = Collection::new("P");
         for _ in 0..rng.gen_range(1..24) {
             let mut text = String::new();
             random_xml_element(&mut rng, 3, &mut text);
-            stream.insert_xml(&text).expect("generated XML parses");
-            dom.insert_xml_dom(&text).expect("generated XML parses");
+            fused.insert_xml(&text).expect("generated XML parses");
+            let doc = parse_document(&text, two_pass.vocab_mut()).expect("generated XML parses");
+            two_pass.insert_document(doc);
         }
         assert!(
-            stream.columns().is_some(),
+            fused.columns().is_some() && two_pass.columns().is_some(),
             "case {case}: columns dirty after pure inserts"
         );
-        let columnar = runstats(&stream);
-        let scanned = runstats_scan(&stream);
+        assert_eq!(
+            fused.columns(),
+            two_pass.columns(),
+            "case {case}: fused != two-pass column store"
+        );
+        let columnar = runstats(&fused);
+        let scanned = runstats_scan(&fused);
         assert_eq!(columnar, scanned, "case {case}: columnar != scan");
         assert_eq!(
             columnar,
-            runstats_scan(&dom),
-            "case {case}: streaming != DOM collection stats"
+            runstats_scan(&two_pass),
+            "case {case}: fused != two-pass collection stats"
         );
     }
 }
